@@ -115,6 +115,9 @@ class ColdTier : public PhlArchive {
 
   ColdTierOptions options_;
   std::vector<ColdSegmentInfo> manifest_;  // ascending seq
+  // LRU residency is mutated by const reads and is single-threaded: only
+  // a TrustedServer without a read_index builds a cold tier
+  // (trusted_server.cc), so the sharded serve phase never reaches it.
   mutable std::map<uint64_t, LoadedSegment> resident_;
   mutable uint64_t resident_bytes_ = 0;
   mutable uint64_t lru_tick_ = 0;

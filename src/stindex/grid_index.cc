@@ -16,24 +16,35 @@ int64_t FloorToCell(double value, double extent) {
   return static_cast<int64_t>(std::floor(value / extent));
 }
 
-/// How large the delta tail may grow before MergeDelta folds it in:
-/// constant floor for small pillars, a fraction of the sorted prefix for
-/// hotspot pillars so merge cost stays amortized O(1) per insert.
-size_t DeltaCapacity(size_t sorted) { return std::max<size_t>(64, sorted / 8); }
+/// How large the delta tail may grow before Insert folds it into the
+/// sorted prefix.  Compaction is write-side only, so queries never mutate
+/// a pillar and stay safe for concurrent readers.  A tail is scanned
+/// unclipped by every query that touches its pillar, so it is kept to
+/// 1/32 of the sorted prefix (pillars under 32 samples stay fully
+/// sorted); the merge moves O(n) samples once per n/32 late inserts,
+/// amortized O(1) per insert.  Answers never depend on it: an unsorted
+/// tail is scanned whole, a superset scan (DESIGN.md §17.3).
+size_t DeltaCapacity(size_t sorted) { return sorted / 32; }
 
-/// Read-time compaction threshold: a query folds a pillar's delta tail
-/// into the sorted prefix only once the tail is a meaningful fraction of
-/// the pillar.  Folding keeps the time-window bisection effective, but
-/// doing it for every tiny tail would be quadratic when inserts and
-/// queries interleave on a hot pillar (each serve appends one sample,
-/// each query would then pay an O(n) merge); below the threshold the
-/// tail is simply scanned as-is — the flat kernels do not need sorted
-/// input, and a superset scan never changes an answer.  Proportional to
-/// the sorted prefix so the amortized query-side merge cost per insert
-/// stays O(1), like the insert-side DeltaCapacity.
-bool ShouldQueryMerge(size_t sorted, size_t tail) {
-  return tail > std::max<size_t>(4, sorted / 8);
-}
+/// Per-user running best of one NearestPerUser query.
+struct BestSlot {
+  mod::UserId user = 0;
+  uint32_t gen = 0;       // slot is live iff gen == NearestScratch::gen
+  UserNeighbor neighbor;  // distance = squared while searching
+};
+
+/// Reusable NearestPerUser buffers.  One per thread (see NearestPerUser):
+/// queries are const and may run on many threads at once, so their
+/// scratch cannot live in the index.  The best-per-user table is
+/// generation-stamped: bumping `gen` invalidates every slot in O(1), so a
+/// query pays neither an allocation nor a table-wide clear, and the table
+/// keeps its high-water capacity.  A query leaves nothing observable here.
+struct NearestScratch {
+  std::vector<BestSlot> best_slots;
+  uint32_t gen = 0;
+  std::vector<std::pair<double, mod::UserId>> topk;
+  std::vector<double> d2;
+};
 
 }  // namespace
 
@@ -60,31 +71,57 @@ GridIndex::CellKey GridIndex::CellOf(const geo::STPoint& sample) const {
 }
 
 void GridIndex::MergeDelta(Pillar* pillar) {
+  const size_t sorted = pillar->sorted;
   const size_t n = pillar->size();
-  if (pillar->sorted == n) return;
-  std::vector<size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  const auto by_t = [&](size_t a, size_t b) {
-    return pillar->t[a] < pillar->t[b];
+  if (sorted == n) return;
+  // Stable-sort the tail by t through an index permutation, copy it out,
+  // then merge backward in place: only prefix samples later than the
+  // tail's earliest move, and a warm writer thread allocates nothing.
+  // Ties keep prefix-before-tail and tail insertion order, the same
+  // order std::stable_sort + std::inplace_merge give.
+  struct Tail {
+    std::vector<size_t> perm;
+    std::vector<int64_t> t;
+    std::vector<double> x;
+    std::vector<double> y;
+    std::vector<mod::UserId> user;
   };
-  std::stable_sort(perm.begin() + static_cast<ptrdiff_t>(pillar->sorted),
-                   perm.end(), by_t);
-  std::inplace_merge(perm.begin(),
-                     perm.begin() + static_cast<ptrdiff_t>(pillar->sorted),
-                     perm.end(), by_t);
-  Pillar merged;
-  merged.t.reserve(n);
-  merged.x.reserve(n);
-  merged.y.reserve(n);
-  merged.user.reserve(n);
-  for (const size_t i : perm) {
-    merged.t.push_back(pillar->t[i]);
-    merged.x.push_back(pillar->x[i]);
-    merged.y.push_back(pillar->y[i]);
-    merged.user.push_back(pillar->user[i]);
+  thread_local Tail tail;
+  const size_t m = n - sorted;
+  tail.perm.resize(m);
+  std::iota(tail.perm.begin(), tail.perm.end(), sorted);
+  // Index order breaks t ties: stable, without stable_sort's buffer.
+  std::sort(tail.perm.begin(), tail.perm.end(), [&](size_t a, size_t b) {
+    return pillar->t[a] != pillar->t[b] ? pillar->t[a] < pillar->t[b] : a < b;
+  });
+  tail.t.clear();
+  tail.x.clear();
+  tail.y.clear();
+  tail.user.clear();
+  for (const size_t i : tail.perm) {
+    tail.t.push_back(pillar->t[i]);
+    tail.x.push_back(pillar->x[i]);
+    tail.y.push_back(pillar->y[i]);
+    tail.user.push_back(pillar->user[i]);
   }
-  merged.sorted = n;
-  *pillar = std::move(merged);
+  size_t i = sorted;  // unmerged prefix: [0, i)
+  size_t j = m;       // unmerged tail: [0, j)
+  for (size_t w = n; j > 0; --w) {
+    if (i > 0 && pillar->t[i - 1] > tail.t[j - 1]) {
+      --i;
+      pillar->t[w - 1] = pillar->t[i];
+      pillar->x[w - 1] = pillar->x[i];
+      pillar->y[w - 1] = pillar->y[i];
+      pillar->user[w - 1] = pillar->user[i];
+    } else {
+      --j;
+      pillar->t[w - 1] = tail.t[j];
+      pillar->x[w - 1] = tail.x[j];
+      pillar->y[w - 1] = tail.y[j];
+      pillar->user[w - 1] = tail.user[j];
+    }
+  }
+  pillar->sorted = n;
 }
 
 void GridIndex::Insert(mod::UserId user, const geo::STPoint& sample) {
@@ -166,22 +203,17 @@ std::vector<Entry> GridIndex::RangeQuery(const geo::STBox& box) const {
   const int64_t x1 = FloorToCell(box.area.max_x, options_.cell_meters);
   const int64_t y0 = FloorToCell(box.area.min_y, options_.cell_meters);
   const int64_t y1 = FloorToCell(box.area.max_y, options_.cell_meters);
-  // Reused across queries (single-threaded by contract) so a query pays
-  // no per-pillar allocation for the match-index staging buffer.
-  std::vector<uint32_t>& matched = match_scratch_;
+  // Per-thread match-index staging buffer, reused across queries so a
+  // query pays no per-pillar allocation; per thread because concurrent
+  // readers share the index.
+  thread_local std::vector<uint32_t> matched;
   for (int64_t x = std::max(x0, min_cell_.x); x <= std::min(x1, max_cell_.x);
        ++x) {
     for (int64_t y = std::max(y0, min_cell_.y);
          y <= std::min(y1, max_cell_.y); ++y) {
-      Pillar* found = pillars_.Find(x, y);
+      const Pillar* found = pillars_.Find(x, y);
       if (found == nullptr) continue;
-      Pillar& pillar = *found;
-      // Read-time compaction (see ShouldQueryMerge): fold a LARGE delta
-      // tail so the bulk of the pillar is one bisectable run; a small
-      // tail is scanned below as-is.
-      if (ShouldQueryMerge(pillar.sorted, pillar.size() - pillar.sorted)) {
-        MergeDelta(&pillar);
-      }
+      const Pillar& pillar = *found;
       const auto filter_range = [&](size_t lo, size_t count) {
         if (count == 0) return;
         if (matched.size() < count) matched.resize(count);
@@ -220,41 +252,42 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
   const double cell = options_.cell_meters;
   const double mps = metric.meters_per_second;
 
-  // Per-user best samples in the reusable generation-stamped scratch
+  // Per-user best samples in this thread's generation-stamped scratch
   // table (linear probing, power-of-2 capacity): `consider` is the
   // innermost operation of the whole search, and a node-based map would
   // pay an allocation and a pointer chase per discovered user.  Bumping
   // the generation invalidates the previous query's entries without
-  // touching them, so a query pays neither an allocation nor a
-  // table-wide clear.
-  if (best_slots_.empty()) best_slots_.assign(128, BestSlot{});
-  if (++best_gen_ == 0) {
+  // touching them.
+  thread_local NearestScratch scratch;
+  std::vector<BestSlot>& best_slots = scratch.best_slots;
+  if (best_slots.empty()) best_slots.assign(128, BestSlot{});
+  if (++scratch.gen == 0) {
     // uint32 wrap: stamp everything dead once, then restart at 1.
-    for (BestSlot& slot : best_slots_) slot.gen = 0;
-    best_gen_ = 1;
+    for (BestSlot& slot : best_slots) slot.gen = 0;
+    scratch.gen = 1;
   }
-  const uint32_t gen = best_gen_;
+  const uint32_t gen = scratch.gen;
   const auto user_hash = [](mod::UserId user) -> size_t {
     return static_cast<size_t>(
         (static_cast<uint64_t>(user) * 0x9e3779b97f4a7c15ULL) >> 32);
   };
-  size_t best_mask = best_slots_.size() - 1;
+  size_t best_mask = best_slots.size() - 1;
   size_t best_used = 0;
   const auto best_find = [&](mod::UserId user) -> BestSlot* {
     for (size_t i = user_hash(user) & best_mask;; i = (i + 1) & best_mask) {
-      BestSlot& slot = best_slots_[i];
+      BestSlot& slot = best_slots[i];
       if (slot.gen != gen || slot.user == user) return &slot;
     }
   };
   const auto best_grow = [&]() {
-    std::vector<BestSlot> old = std::move(best_slots_);
-    best_slots_.assign(old.size() * 2, BestSlot{});
-    best_mask = best_slots_.size() - 1;
+    std::vector<BestSlot> old = std::move(best_slots);
+    best_slots.assign(old.size() * 2, BestSlot{});
+    best_mask = best_slots.size() - 1;
     for (BestSlot& slot : old) {
       if (slot.gen != gen) continue;
       size_t i = user_hash(slot.user) & best_mask;
-      while (best_slots_[i].gen == gen) i = (i + 1) & best_mask;
-      best_slots_[i] = slot;
+      while (best_slots[i].gen == gen) i = (i + 1) & best_mask;
+      best_slots[i] = slot;
     }
   };
 
@@ -265,7 +298,7 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
   // topk.back() — eviction only replaces the maximum with something
   // smaller, and a tracked user's value only decreases in place, so the
   // invariant survives every update.
-  std::vector<std::pair<double, mod::UserId>>& topk = topk_;
+  std::vector<std::pair<double, mod::UserId>>& topk = scratch.topk;
   topk.clear();
   topk.reserve(k);
   double bound_d2 = std::numeric_limits<double>::infinity();
@@ -298,7 +331,7 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
       slot->user = user;
       slot->neighbor = UserNeighbor{user, sample, d2};
       topk_update(user, d2);
-      if (++best_used * 2 > best_slots_.size()) best_grow();
+      if (++best_used * 2 > best_slots.size()) best_grow();
     } else if (d2 < slot->neighbor.distance) {
       slot->neighbor.sample = sample;
       slot->neighbor.distance = d2;
@@ -343,27 +376,24 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
   // the indexed content (the canonical-answer property
   // SampleContentLess documents).
   int64_t cells_probed = 0;
+  std::vector<double>& d2s = scratch.d2;
   const auto activate = [&](int64_t x, int64_t y) {
     const double spatial = cell_min_d2(x, y);
     if (spatial > bound_d2) return;  // arithmetic-only prune, no probe
     ++cells_probed;
-    Pillar* pillar = pillars_.Find(x, y);
+    const Pillar* pillar = pillars_.Find(x, y);
     if (pillar == nullptr) return;
-    // Read-time compaction (see ShouldQueryMerge): fold a LARGE delta
-    // tail so window clipping covers the bulk of the pillar; a small
-    // tail is scanned unclipped below.
-    if (ShouldQueryMerge(pillar->sorted, pillar->size() - pillar->sorted)) {
-      MergeDelta(pillar);
-    }
+    // The delta tail (kept short by Insert, see DeltaCapacity) cannot be
+    // bisected and is scanned unclipped below.
     const auto scan_range = [&](size_t lo, size_t count) {
       if (count == 0) return;
-      if (d2_scratch_.size() < count) d2_scratch_.resize(count);
+      if (d2s.size() < count) d2s.resize(count);
       geo::kernels::SquaredDistances(pillar->t.data() + lo,
                                      pillar->x.data() + lo,
                                      pillar->y.data() + lo, count, query, mps,
-                                     d2_scratch_.data());
+                                     d2s.data());
       for (size_t j = 0; j < count; ++j) {
-        const double d2 = d2_scratch_[j];
+        const double d2 = d2s[j];
         if (d2 > bound_d2) continue;  // strict: ties must pass
         const mod::UserId user = pillar->user[lo + j];
         if (user == exclude) continue;
@@ -447,7 +477,7 @@ std::vector<UserNeighbor> GridIndex::NearestPerUser(
     nearest_shells_->Observe(static_cast<double>(cells_probed));
   }
   result.reserve(best_used);
-  for (const BestSlot& slot : best_slots_) {
+  for (const BestSlot& slot : best_slots) {
     if (slot.gen == gen) result.push_back(slot.neighbor);
   }
   const auto by_distance = [](const UserNeighbor& a, const UserNeighbor& b) {

@@ -5,10 +5,11 @@
 // Columnar layout (DESIGN.md §17): samples sharing a spatial cell live in
 // one PILLAR — four parallel columns t/x/y/user whose prefix is sorted by
 // time, plus a small unsorted delta tail that absorbs inserts and is
-// merged back when it overflows.  A nearest scan that used to probe one
-// hash cell per (x, y, t) lattice point now probes one pillar per (x, y)
-// ring cell, bisects the time window the current k-th bound allows, and
-// hands the run to the flat geometry kernels (src/geo/kernels.h).
+// merged back by Insert when it overflows.  A nearest scan that used to
+// probe one hash cell per (x, y, t) lattice point now probes one pillar
+// per (x, y) ring cell, bisects the time window the current k-th bound
+// allows, and hands the run to the flat geometry kernels
+// (src/geo/kernels.h).
 // Answers are identical: the per-user tie rule (SampleContentLess) and
 // the strict ring-termination bound already make the result a pure
 // function of the indexed content, independent of scan order.
@@ -44,6 +45,11 @@ struct GridIndexOptions {
 /// pillars outward from the query — scanning each pillar's bound-clipped
 /// time run through the distance kernel — until the k-th best distance
 /// is provably final.
+///
+/// Queries are safe for concurrent readers between writes: RangeQuery and
+/// NearestPerUser write nothing in the index (their scratch is per
+/// thread) and never compact on read, as the sharded serve phase needs
+/// (DESIGN.md §10).  Insert and Remove need exclusive access.
 class GridIndex : public SpatioTemporalIndex {
  public:
   explicit GridIndex(GridIndexOptions options = GridIndexOptions());
@@ -98,7 +104,7 @@ class GridIndex : public SpatioTemporalIndex {
 
   /// \brief One spatial cell's samples as parallel columns.  The prefix
   /// [0, sorted) is ascending in t; [sorted, t.size()) is the unsorted
-  /// delta tail, merged back by MergeDelta when it overflows.
+  /// delta tail, merged back by Insert (MergeDelta) when it overflows.
   struct Pillar {
     std::vector<int64_t> t;
     std::vector<double> x;
@@ -121,12 +127,16 @@ class GridIndex : public SpatioTemporalIndex {
    public:
     PillarTable() : slots_(kMinSlots), mask_(kMinSlots - 1) {}
 
-    Pillar* Find(int64_t x, int64_t y) {
+    const Pillar* Find(int64_t x, int64_t y) const {
       for (size_t i = Hash(x, y) & mask_;; i = (i + 1) & mask_) {
-        Slot& slot = slots_[i];
+        const Slot& slot = slots_[i];
         if (!slot.used) return nullptr;
         if (slot.x == x && slot.y == y) return &slot.pillar;
       }
+    }
+
+    Pillar* Find(int64_t x, int64_t y) {
+      return const_cast<Pillar*>(std::as_const(*this).Find(x, y));
     }
 
     Pillar* FindOrInsert(int64_t x, int64_t y) {
@@ -181,6 +191,7 @@ class GridIndex : public SpatioTemporalIndex {
   CellKey CellOf(const geo::STPoint& sample) const;
 
   /// Sorts the delta tail and merges it into the sorted prefix (O(n)).
+  /// Write path only: queries never reorder a pillar.
   static void MergeDelta(Pillar* pillar);
 
   std::string name_ = "grid";
@@ -190,28 +201,8 @@ class GridIndex : public SpatioTemporalIndex {
   obs::Counter* range_queries_ = nullptr;
   obs::Counter* nearest_queries_ = nullptr;
   obs::Histogram* nearest_shells_ = nullptr;
-  // `mutable` for read-time compaction: the index is single-threaded by
-  // contract, and queries fold a touched pillar's oversized delta tail
-  // into the sorted prefix before scanning it (small tails are scanned
-  // as-is) — content is unchanged, so const semantics hold for every
-  // observable answer.
-  mutable PillarTable pillars_;
-  // Per-query scratch for NearestPerUser, reused across queries (the
-  // index is single-threaded by contract; a query leaves no observable
-  // state here).  The best-per-user table is generation-stamped: bumping
-  // best_gen_ invalidates every slot in O(1), so a query pays neither an
-  // allocation nor a table-wide clear, and the table keeps its
-  // high-water capacity.
-  struct BestSlot {
-    mod::UserId user = 0;
-    uint32_t gen = 0;  // slot is live iff gen == best_gen_
-    UserNeighbor neighbor;  // distance = squared while searching
-  };
-  mutable std::vector<BestSlot> best_slots_;
-  mutable uint32_t best_gen_ = 0;
-  mutable std::vector<std::pair<double, mod::UserId>> topk_;
-  mutable std::vector<double> d2_scratch_;
-  mutable std::vector<uint32_t> match_scratch_;
+  // Written only by Insert (which alone folds delta tails) and Remove.
+  PillarTable pillars_;
   size_t size_ = 0;
   /// Bumped on every Insert (the MOD-ingest invalidation ticket).
   uint64_t epoch_ = 0;
