@@ -44,7 +44,6 @@ struct Scenario {
   /// ts_options so the server, index, generalizer, and monitor all record
   /// into the same registry.
   obs::Registry* registry = nullptr;
-  obs::Tracer* tracer = nullptr;
   obs::EventSink* event_sink = nullptr;
 };
 
@@ -84,7 +83,6 @@ inline ScenarioRun RunScenario(const Scenario& scenario) {
 
   ts::TrustedServerOptions ts_options = scenario.ts_options;
   if (scenario.registry != nullptr) ts_options.registry = scenario.registry;
-  if (scenario.tracer != nullptr) ts_options.tracer = scenario.tracer;
   if (scenario.event_sink != nullptr) {
     ts_options.event_sink = scenario.event_sink;
   }

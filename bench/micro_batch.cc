@@ -6,13 +6,19 @@
 // per-request path re-queries per request because each serve appends the
 // requester's own sample and bumps the index epoch.  Writes
 // BENCH_batch.json with both rates, the speedup, and the generalizer
-// cache counters; exits non-zero if the speedup is below 2x (the ISSUE-5
-// acceptance floor) so the CI bench gate catches regressions.
+// cache counters; exits non-zero if the speedup is below 2x (the batch
+// engine's acceptance floor) so the CI bench gate catches regressions.
+//
+// One 384-request window runs in a few milliseconds, so a single timing
+// is at the mercy of one scheduler hiccup.  Each path is therefore timed
+// on kTwins fresh twins (every fixture built outside the timer) and the
+// median rate is reported.
 //
 // Like micro_concurrent this is a plain wall-clock binary with its own
 // main (two server twins replaying the same window do not fit the
 // google-benchmark fixture model).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +36,9 @@
 using namespace histkanon;  // NOLINT: harness brevity.
 
 namespace {
+
+// Fresh twins timed per path; the reported rate is their median.
+constexpr size_t kTwins = 9;
 
 struct FixtureOptions {
   size_t num_requesters = 384;
@@ -115,6 +124,13 @@ uint64_t CounterValue(obs::Registry* registry, const std::string& name) {
   return registry->GetCounter(name)->value();
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,6 +145,7 @@ int main(int argc, char** argv) {
   std::printf("micro_batch: co-located window, %zu requesters, %zu "
               "background users\n\n",
               fixture.num_requesters, fixture.num_background);
+  std::printf("median of %zu twins per path\n", kTwins);
   std::printf("%-12s %10s %12s %12s\n", "path", "seconds", "requests/s",
               "generalized");
 
@@ -136,9 +153,9 @@ int main(int argc, char** argv) {
   // appends the requester's sample first, so the shared nearest-users
   // entry can never stay valid across requests — this is the honest cost
   // of the unbatched path, not a pessimized strawman.
-  double serial_rps = 0.0;
+  std::vector<double> serial_rates;
   size_t serial_generalized = 0;
-  {
+  for (size_t twin = 0; twin < kTwins; ++twin) {
     obs::Registry registry;
     ts::TrustedServer server(ServerOptions(&registry));
     BuildFixture(fixture, &server);
@@ -150,41 +167,48 @@ int main(int argc, char** argv) {
                                                kiosk_request, 0, "q"));
     }
     const double seconds = SecondsSince(start);
-    serial_rps = static_cast<double>(fixture.num_requesters) / seconds;
+    serial_rates.push_back(static_cast<double>(fixture.num_requesters) /
+                           seconds);
     serial_generalized = CountGeneralized(outcomes);
-    std::printf("%-12s %10.4f %12.0f %12zu\n", "per-request", seconds,
-                serial_rps, serial_generalized);
   }
+  const double serial_rps = Median(serial_rates);
+  std::printf("%-12s %10.4f %12.0f %12zu\n", "per-request",
+              static_cast<double>(fixture.num_requesters) / serial_rps,
+              serial_rps, serial_generalized);
 
-  // Batched path on an identical twin: one ProcessBatch window.
-  double batch_rps = 0.0;
+  // Batched path on identical twins: one ProcessBatch window each.
+  std::vector<ts::BatchRequest> window;
+  window.reserve(fixture.num_requesters);
+  for (size_t r = 0; r < fixture.num_requesters; ++r) {
+    window.push_back(ts::BatchRequest{static_cast<mod::UserId>(r),
+                                      kiosk_request, 0, "q"});
+  }
+  std::vector<double> batch_rates;
   size_t batch_generalized = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_invalidations = 0;
-  {
+  for (size_t twin = 0; twin < kTwins; ++twin) {
     obs::Registry registry;
     ts::TrustedServer server(ServerOptions(&registry));
     BuildFixture(fixture, &server);
-    std::vector<ts::BatchRequest> window;
-    window.reserve(fixture.num_requesters);
-    for (size_t r = 0; r < fixture.num_requesters; ++r) {
-      window.push_back(ts::BatchRequest{static_cast<mod::UserId>(r),
-                                        kiosk_request, 0, "q"});
-    }
     const auto start = std::chrono::steady_clock::now();
     const std::vector<ts::ProcessOutcome> outcomes =
         server.ProcessBatch(window);
     const double seconds = SecondsSince(start);
-    batch_rps = static_cast<double>(fixture.num_requesters) / seconds;
+    batch_rates.push_back(static_cast<double>(fixture.num_requesters) /
+                          seconds);
+    // Every twin serves the same window, so the counts are per window.
     batch_generalized = CountGeneralized(outcomes);
     cache_hits = CounterValue(&registry, "anon_cache_hits_total");
     cache_misses = CounterValue(&registry, "anon_cache_misses_total");
     cache_invalidations =
         CounterValue(&registry, "anon_cache_invalidations_total");
-    std::printf("%-12s %10.4f %12.0f %12zu\n", "batch", seconds, batch_rps,
-                batch_generalized);
   }
+  const double batch_rps = Median(batch_rates);
+  std::printf("%-12s %10.4f %12.0f %12zu\n", "batch",
+              static_cast<double>(fixture.num_requesters) / batch_rps,
+              batch_rps, batch_generalized);
 
   const double speedup = serial_rps > 0.0 ? batch_rps / serial_rps : 0.0;
   const bool pipeline_exercised =
@@ -200,6 +224,7 @@ int main(int argc, char** argv) {
   report.SetString("workload", "co-located kiosk window");
   report.SetUint("requesters", fixture.num_requesters);
   report.SetUint("background_users", fixture.num_background);
+  report.SetUint("twins_per_path", kTwins);
   report.SetNumber("per_request_rps", serial_rps);
   report.SetNumber("batch_rps", batch_rps);
   report.SetNumber("batch_speedup", speedup);

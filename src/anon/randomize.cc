@@ -1,6 +1,7 @@
 #include "src/anon/randomize.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace histkanon {
 namespace anon {
@@ -51,6 +52,16 @@ geo::STBox ExpandWithin(common::Rng* rng, const geo::STBox& box,
     }
     *new_lo = lo - margin_lo;
     *new_hi = hi + margin_hi;
+    // Scaled margins sum to the slack only up to rounding, so the grown
+    // extent can land a few ulps over max_extent; pull the grown sides
+    // back in until it fits exactly.  A box that fits, or that was
+    // already over tolerance and did not grow, is left untouched.
+    while (*new_hi - *new_lo > max_extent && *new_hi > hi) {
+      *new_hi = std::nextafter(*new_hi, hi);
+    }
+    while (*new_hi - *new_lo > max_extent && *new_lo < lo) {
+      *new_lo = std::nextafter(*new_lo, lo);
+    }
   };
   grow_axis(box.area.min_x, box.area.max_x, tolerance.max_area_width,
             &out.area.min_x, &out.area.max_x);

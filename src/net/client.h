@@ -1,6 +1,7 @@
-// Blocking client for the HKNETRP1 RPC protocol: one loopback TCP
+// Blocking client for the HKNETRP2 RPC protocol: one loopback TCP
 // connection, request-id correlation, and an out-of-order reply stash so
 // callers can interleave fire-and-forget updates with awaited requests.
+// Every send carries the journal event record of its input (protocol.h).
 // Used by the conformance tests and (as N independent instances or via
 // the raw framing helpers) by bench/loadgen.
 
@@ -57,7 +58,7 @@ struct RetryStats {
   bool deadline_exhausted = false;
 };
 
-/// \brief A blocking HKNETRP1 connection.
+/// \brief A blocking HKNETRP2 connection.
 class RpcClient {
  public:
   RpcClient() = default;
@@ -93,7 +94,8 @@ class RpcClient {
                                        std::string data,
                                        uint64_t trace_id = 0);
   /// kRegisterLbqid / kSetRules: `journal_event` is EncodeJournalEvent
-  /// bytes whose kind matches `type`.
+  /// bytes whose kind matches `type` (the other sends build theirs from
+  /// their arguments).
   common::Result<uint64_t> SendEvent(MsgType type, std::string journal_event,
                                      uint64_t trace_id = 0);
   /// Asks the server to close its batch window now (no reply).

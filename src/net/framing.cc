@@ -9,7 +9,7 @@ namespace histkanon {
 namespace net {
 
 namespace {
-constexpr std::string_view kMagic = "HKNETRP1";
+constexpr std::string_view kMagic = "HKNETRP2";
 }  // namespace
 
 std::string_view WireMagic() { return kMagic; }
@@ -57,7 +57,7 @@ FrameDecoder::Poll FrameDecoder::Next(Frame* out) {
     const std::string_view head(buffer_.data() + consumed_,
                                 have < want ? have : want);
     if (head != kMagic.substr(0, head.size())) {
-      return Fail("bad wire magic (not an HKNETRP1 stream)");
+      return Fail("bad wire magic (not an HKNETRP2 stream)");
     }
     if (have < want) return Poll::kNeedMore;
     consumed_ += want;

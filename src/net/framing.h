@@ -2,9 +2,13 @@
 //
 // Each direction of a connection is an independent byte stream:
 //
-//   stream := magic frame*             magic = "HKNETRP1" (8 bytes)
+//   stream := magic frame*             magic = "HKNETRP2" (8 bytes)
 //   frame  := u32 length | u32 crc32(payload) | payload
 //   payload:= u8 type | u8 version | u64 trace_id | body
+//
+// A client->server body is `u64 request_id | journal event record` (the
+// EncodeJournalEvent bytes, src/ts/durability.h); reply bodies have their
+// own per-type layouts (src/net/protocol.h).
 //
 // The frame layout deliberately reuses the durability layer's record
 // framing (src/dur/framing.h: same little-endian header, same CRC-32,

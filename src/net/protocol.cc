@@ -1,5 +1,7 @@
 #include "src/net/protocol.h"
 
+#include <optional>
+
 #include "src/dur/encode.h"
 
 namespace histkanon {
@@ -7,36 +9,28 @@ namespace net {
 
 namespace {
 
-void PutPoint(dur::ByteWriter* writer, const geo::STPoint& point) {
-  writer->PutDouble(point.p.x);
-  writer->PutDouble(point.p.y);
-  writer->PutI64(point.t);
+// Frames a journal event as a client body: u64 request_id, then the
+// EncodeJournalEvent bytes to the end of the body.
+std::string EventBody(uint64_t request_id, const ts::JournalEvent& event) {
+  return EncodeEvent(EventMsg{request_id, ts::EncodeJournalEvent(event)});
 }
 
-common::Status ReadPoint(dur::ByteReader* reader, geo::STPoint* point) {
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&point->p.x));
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&point->p.y));
-  HISTKANON_RETURN_NOT_OK(reader->ReadI64(&point->t));
-  return common::Status::OK();
-}
-
-void PutBox(dur::ByteWriter* writer, const geo::STBox& box) {
-  writer->PutDouble(box.area.min_x);
-  writer->PutDouble(box.area.min_y);
-  writer->PutDouble(box.area.max_x);
-  writer->PutDouble(box.area.max_y);
-  writer->PutI64(box.time.lo);
-  writer->PutI64(box.time.hi);
-}
-
-common::Status ReadBox(dur::ByteReader* reader, geo::STBox* box) {
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.min_x));
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.min_y));
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.max_x));
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.max_y));
-  HISTKANON_RETURN_NOT_OK(reader->ReadI64(&box->time.lo));
-  HISTKANON_RETURN_NOT_OK(reader->ReadI64(&box->time.hi));
-  return common::Status::OK();
+// The one journal event kind each client frame type may carry.
+std::optional<ts::JournalEvent::Kind> ClientEventKind(MsgType type) {
+  switch (type) {
+    case MsgType::kRegister:
+      return ts::JournalEvent::Kind::kRegisterUser;
+    case MsgType::kUpdate:
+      return ts::JournalEvent::Kind::kUpdate;
+    case MsgType::kRequest:
+      return ts::JournalEvent::Kind::kRequest;
+    case MsgType::kRegisterLbqid:
+      return ts::JournalEvent::Kind::kRegisterLbqid;
+    case MsgType::kSetRules:
+      return ts::JournalEvent::Kind::kSetRules;
+    default:
+      return std::nullopt;
+  }
 }
 
 common::Status CheckDrained(const dur::ByteReader& reader) {
@@ -90,97 +84,68 @@ std::string_view MsgTypeToString(MsgType type) {
 }
 
 std::string EncodeRegister(const RegisterMsg& msg) {
-  dur::ByteWriter writer;
-  writer.PutU64(msg.request_id);
-  writer.PutI64(msg.user);
-  writer.PutU8(static_cast<uint8_t>(msg.policy.concern));
-  writer.PutU64(msg.policy.k);
-  writer.PutDouble(msg.policy.theta);
-  writer.PutDouble(msg.policy.k_schedule.initial_factor);
-  writer.PutU64(msg.policy.k_schedule.decrement_per_step);
-  writer.PutDouble(msg.policy.default_context_scale);
-  return writer.TakeBytes();
-}
-
-common::Result<RegisterMsg> DecodeRegister(std::string_view body) {
-  dur::ByteReader reader(body);
-  RegisterMsg msg;
-  HISTKANON_RETURN_NOT_OK(reader.ReadU64(&msg.request_id));
-  HISTKANON_RETURN_NOT_OK(reader.ReadI64(&msg.user));
-  uint8_t concern = 0;
-  HISTKANON_RETURN_NOT_OK(reader.ReadU8(&concern));
-  if (concern > static_cast<uint8_t>(ts::PrivacyConcern::kHigh)) {
-    return common::Status::InvalidArgument("privacy concern out of range");
-  }
-  msg.policy.concern = static_cast<ts::PrivacyConcern>(concern);
-  uint64_t k = 0;
-  HISTKANON_RETURN_NOT_OK(reader.ReadU64(&k));
-  msg.policy.k = static_cast<size_t>(k);
-  HISTKANON_RETURN_NOT_OK(reader.ReadDouble(&msg.policy.theta));
-  HISTKANON_RETURN_NOT_OK(
-      reader.ReadDouble(&msg.policy.k_schedule.initial_factor));
-  uint64_t decrement = 0;
-  HISTKANON_RETURN_NOT_OK(reader.ReadU64(&decrement));
-  msg.policy.k_schedule.decrement_per_step = static_cast<size_t>(decrement);
-  HISTKANON_RETURN_NOT_OK(reader.ReadDouble(&msg.policy.default_context_scale));
-  HISTKANON_RETURN_NOT_OK(CheckDrained(reader));
-  return msg;
+  ts::JournalEvent event;
+  event.kind = ts::JournalEvent::Kind::kRegisterUser;
+  event.user = msg.user;
+  event.policy = msg.policy;
+  return EventBody(msg.request_id, event);
 }
 
 std::string EncodeUpdate(const UpdateMsg& msg) {
-  dur::ByteWriter writer;
-  writer.PutU64(msg.request_id);
-  writer.PutI64(msg.user);
-  PutPoint(&writer, msg.sample);
-  return writer.TakeBytes();
-}
-
-common::Result<UpdateMsg> DecodeUpdate(std::string_view body) {
-  dur::ByteReader reader(body);
-  UpdateMsg msg;
-  HISTKANON_RETURN_NOT_OK(reader.ReadU64(&msg.request_id));
-  HISTKANON_RETURN_NOT_OK(reader.ReadI64(&msg.user));
-  HISTKANON_RETURN_NOT_OK(ReadPoint(&reader, &msg.sample));
-  HISTKANON_RETURN_NOT_OK(CheckDrained(reader));
-  return msg;
+  ts::JournalEvent event;
+  event.kind = ts::JournalEvent::Kind::kUpdate;
+  event.user = msg.user;
+  event.point = msg.sample;
+  return EventBody(msg.request_id, event);
 }
 
 std::string EncodeRequest(const RequestMsg& msg) {
-  dur::ByteWriter writer;
-  writer.PutU64(msg.request_id);
-  writer.PutI64(msg.user);
-  PutPoint(&writer, msg.exact);
-  writer.PutI32(msg.service);
-  writer.PutString(msg.data);
-  return writer.TakeBytes();
-}
-
-common::Result<RequestMsg> DecodeRequest(std::string_view body) {
-  dur::ByteReader reader(body);
-  RequestMsg msg;
-  HISTKANON_RETURN_NOT_OK(reader.ReadU64(&msg.request_id));
-  HISTKANON_RETURN_NOT_OK(reader.ReadI64(&msg.user));
-  HISTKANON_RETURN_NOT_OK(ReadPoint(&reader, &msg.exact));
-  HISTKANON_RETURN_NOT_OK(reader.ReadI32(&msg.service));
-  HISTKANON_RETURN_NOT_OK(reader.ReadString(&msg.data));
-  HISTKANON_RETURN_NOT_OK(CheckDrained(reader));
-  return msg;
+  ts::JournalEvent event;
+  event.kind = ts::JournalEvent::Kind::kRequest;
+  event.user = msg.user;
+  event.point = msg.exact;
+  event.service_id = msg.service;
+  event.data = msg.data;
+  return EventBody(msg.request_id, event);
 }
 
 std::string EncodeEvent(const EventMsg& msg) {
   dur::ByteWriter writer;
   writer.PutU64(msg.request_id);
-  writer.PutString(msg.journal_event);
-  return writer.TakeBytes();
+  std::string body = writer.TakeBytes();
+  body += msg.journal_event;
+  return body;
 }
 
-common::Result<EventMsg> DecodeEvent(std::string_view body) {
+common::Result<ts::JournalEvent> DecodeClientEvent(
+    MsgType type, std::string_view body,
+    const tgran::GranularityRegistry* granularities, uint64_t* request_id) {
   dur::ByteReader reader(body);
-  EventMsg msg;
-  HISTKANON_RETURN_NOT_OK(reader.ReadU64(&msg.request_id));
-  HISTKANON_RETURN_NOT_OK(reader.ReadString(&msg.journal_event));
-  HISTKANON_RETURN_NOT_OK(CheckDrained(reader));
-  return msg;
+  HISTKANON_RETURN_NOT_OK(reader.ReadU64(request_id));
+  const std::optional<ts::JournalEvent::Kind> kind = ClientEventKind(type);
+  if (!kind.has_value()) {
+    return common::Status::InvalidArgument("not a client event frame type");
+  }
+  const bool names_granularities =
+      *kind == ts::JournalEvent::Kind::kRegisterLbqid ||
+      *kind == ts::JournalEvent::Kind::kSetRules;
+  if (names_granularities && granularities == nullptr) {
+    return common::Status::FailedPrecondition(
+        "server has no granularity registry for event frames");
+  }
+  // Update/request/register events name no granularity, so an empty
+  // registry decodes them when the server was given none.
+  static const tgran::GranularityRegistry kNoGranularities;
+  HISTKANON_ASSIGN_OR_RETURN(
+      ts::JournalEvent event,
+      ts::DecodeJournalEvent(
+          body.substr(sizeof(uint64_t)),
+          granularities == nullptr ? kNoGranularities : *granularities));
+  if (event.kind != *kind) {
+    return common::Status::InvalidArgument(
+        "journal-event kind does not match the frame type");
+  }
+  return event;
 }
 
 std::string EncodeReply(const ReplyMsg& msg) {
@@ -196,7 +161,7 @@ std::string EncodeReply(const ReplyMsg& msg) {
       writer.PutU8(static_cast<uint8_t>(msg.disposition));
       writer.PutI64(msg.msgid);
       writer.PutString(msg.pseudonym);
-      PutBox(&writer, msg.context);
+      ts::PutBox(&writer, msg.context);
       writer.PutI32(msg.service);
       writer.PutString(msg.data);
       break;
@@ -230,7 +195,7 @@ common::Result<ReplyMsg> DecodeReply(MsgType type, std::string_view body) {
       HISTKANON_RETURN_NOT_OK(ReadDisposition(&reader, &msg.disposition));
       HISTKANON_RETURN_NOT_OK(reader.ReadI64(&msg.msgid));
       HISTKANON_RETURN_NOT_OK(reader.ReadString(&msg.pseudonym));
-      HISTKANON_RETURN_NOT_OK(ReadBox(&reader, &msg.context));
+      HISTKANON_RETURN_NOT_OK(ts::ReadBox(&reader, &msg.context));
       HISTKANON_RETURN_NOT_OK(reader.ReadI32(&msg.service));
       HISTKANON_RETURN_NOT_OK(reader.ReadString(&msg.data));
       break;

@@ -1,4 +1,4 @@
-// Message types and body codecs of the HKNETRP1 RPC protocol
+// Message types and body codecs of the HKNETRP2 RPC protocol
 // (DESIGN.md §15).  Every message body is encoded with the durability
 // layer's little-endian primitives (dur::ByteWriter/ByteReader), so wire
 // bytes are platform-independent and every decoder treats truncation as a
@@ -11,10 +11,14 @@
 // fire-and-forget on the happy path but STILL get a Throttled reply when
 // shed — the protocol never drops silently.
 //
-// The rare composite submissions (LBQID registration, expert rule sets)
-// reuse the journal event codec (src/ts/durability.h) as their body: the
-// wire carries exactly the bytes the write-ahead journal would, so the
-// wire-vs-in-process differential is byte-exact by construction.
+// One codec per event: every client->server body (except the empty
+// kEndEpoch) is `u64 request_id | EncodeJournalEvent(event)` — the wire
+// carries exactly the record the write-ahead journal stores for that
+// input (src/ts/durability.h), so src/net has no field layout of its own
+// for any client message.  A client may send only the five client kinds
+// (register user, location update, service request, LBQID, rules), each
+// under its own frame type; service registrations, epoch markers and
+// batch windows are server-side events and are refused.
 
 #ifndef HISTKANON_SRC_NET_PROTOCOL_H_
 #define HISTKANON_SRC_NET_PROTOCOL_H_
@@ -29,6 +33,8 @@
 #include "src/geo/stbox.h"
 #include "src/mod/types.h"
 #include "src/net/framing.h"
+#include "src/tgran/granularity.h"
+#include "src/ts/durability.h"
 #include "src/ts/policy.h"
 #include "src/ts/trusted_server.h"
 
@@ -43,8 +49,8 @@ enum class MsgType : uint8_t {
   kUpdate = 0x02,         ///< Location update (fire-and-forget unless shed).
   kRequest = 0x03,        ///< Service request (always answered).
   kEndEpoch = 0x04,       ///< Close the server's batch window now.
-  kRegisterLbqid = 0x05,  ///< Attach an LBQID (journal-event body).
-  kSetRules = 0x06,       ///< Attach an expert rule set (journal-event body).
+  kRegisterLbqid = 0x05,  ///< Attach an LBQID.
+  kSetRules = 0x06,       ///< Attach an expert rule set.
   // -- server -> client
   kRegisterAck = 0x10,  ///< Registration admitted (code 0) or failed.
   kResponseBox = 0x11,  ///< Forwarded: msgid, pseudonym, generalized box.
@@ -58,6 +64,9 @@ enum class MsgType : uint8_t {
 std::string_view MsgTypeToString(MsgType type);
 
 // -- Client -> server bodies -------------------------------------------------
+//
+// The *Msg structs are the builders' inputs; each Encode* turns one into
+// the journal event the matching ConcurrentServer::Submit* call journals.
 
 /// \brief kRegister body: the full quantitative policy (not just the
 /// qualitative dial) so a wire registration is bit-equivalent to an
@@ -84,8 +93,9 @@ struct RequestMsg {
   std::string data;
 };
 
-/// \brief kRegisterLbqid / kSetRules body: a journal-event payload
-/// (EncodeJournalEvent bytes) whose kind must match the frame type.
+/// \brief Any client body with the journal event already encoded
+/// (EncodeJournalEvent bytes whose kind must match the frame type) —
+/// how callers send kRegisterLbqid / kSetRules.
 struct EventMsg {
   uint64_t request_id = 0;
   std::string journal_event;
@@ -116,22 +126,26 @@ struct ReplyMsg {
 
 // -- Body codecs -------------------------------------------------------------
 //
-// Encode* returns the BODY bytes (frame it with AppendFrame); Decode*
-// parses a frame body and fails with InvalidArgument/OutOfRange on
+// Encode* returns the BODY bytes (frame it with AppendFrame); the decoders
+// parse a frame body and fail with InvalidArgument/OutOfRange on
 // malformed input (hostile bytes are expected — fuzzed in
 // tests/net_framing_fuzz_test.cc).
 
 std::string EncodeRegister(const RegisterMsg& msg);
-common::Result<RegisterMsg> DecodeRegister(std::string_view body);
-
 std::string EncodeUpdate(const UpdateMsg& msg);
-common::Result<UpdateMsg> DecodeUpdate(std::string_view body);
-
 std::string EncodeRequest(const RequestMsg& msg);
-common::Result<RequestMsg> DecodeRequest(std::string_view body);
-
 std::string EncodeEvent(const EventMsg& msg);
-common::Result<EventMsg> DecodeEvent(std::string_view body);
+
+/// The server's one decode entry for a client frame of type `type`:
+/// reads the request id into `*request_id` (set as soon as it is read, so
+/// an Error reply can echo it), decodes the journal event, and
+/// checks its kind is the one `type` carries.  kRegisterLbqid/kSetRules
+/// bodies resolve granularity names through `granularities` and are
+/// refused (FailedPrecondition) when it is null; the other kinds name no
+/// granularity and decode without one.
+common::Result<ts::JournalEvent> DecodeClientEvent(
+    MsgType type, std::string_view body,
+    const tgran::GranularityRegistry* granularities, uint64_t* request_id);
 
 std::string EncodeReply(const ReplyMsg& msg);
 /// `type` is the frame type the body arrived under.

@@ -309,20 +309,14 @@ void RpcServer::ReadSession(Session& session) {
 void RpcServer::HandleFrame(Session& session, const Frame& frame) {
   switch (static_cast<MsgType>(frame.type)) {
     case MsgType::kRegister:
-      HandleRegister(session, frame);
-      return;
     case MsgType::kUpdate:
-      HandleUpdate(session, frame);
-      return;
     case MsgType::kRequest:
-      HandleRequest(session, frame);
+    case MsgType::kRegisterLbqid:
+    case MsgType::kSetRules:
+      HandleClientEvent(session, frame);
       return;
     case MsgType::kEndEpoch:
       FlushWindow();
-      return;
-    case MsgType::kRegisterLbqid:
-    case MsgType::kSetRules:
-      HandleEvent(session, frame);
       return;
     default:
       ProtocolError(session, 0,
@@ -332,111 +326,58 @@ void RpcServer::HandleFrame(Session& session, const Frame& frame) {
   }
 }
 
-void RpcServer::HandleRegister(Session& session, const Frame& frame) {
-  common::Result<RegisterMsg> msg = DecodeRegister(frame.body);
-  if (!msg.ok()) {
-    ProtocolError(session, 0, msg.status().ToString());
-    return;
-  }
-  ReplyMsg reply;
-  reply.request_id = msg->request_id;
-  if (server_->SubmitRegisterUser(msg->user, msg->policy)) {
-    reply.type = MsgType::kRegisterAck;
-    reply.code = 0;
-  } else {
-    reply.type = MsgType::kThrottled;
-    reply.retry_after_ms = options_.retry_after_ms;
-    reply.reason = server_->last_submit_error().ToString();
-  }
-  QueueReply(session, frame.trace_id, reply);
-}
-
-void RpcServer::HandleUpdate(Session& session, const Frame& frame) {
-  common::Result<UpdateMsg> msg = DecodeUpdate(frame.body);
-  if (!msg.ok()) {
-    ProtocolError(session, 0, msg.status().ToString());
-    return;
-  }
-  if (server_->SubmitLocationUpdate(msg->user, msg->sample)) return;
-  // Fire-and-forget only on the happy path: a shed update is reported,
-  // never silently dropped.
-  ReplyMsg reply;
-  reply.type = MsgType::kThrottled;
-  reply.request_id = msg->request_id;
-  reply.retry_after_ms = options_.retry_after_ms;
-  reply.reason = server_->last_submit_error().ToString();
-  QueueReply(session, frame.trace_id, reply);
-}
-
-void RpcServer::HandleRequest(Session& session, const Frame& frame) {
-  common::Result<RequestMsg> msg = DecodeRequest(frame.body);
-  if (!msg.ok()) {
-    ProtocolError(session, 0, msg.status().ToString());
-    return;
-  }
-  // The trace id (if causal tracing is attached) is allocated by the
-  // front-end exactly when admission succeeds; observing the allocator
-  // advance recovers it without peeking at the server's options.
-  const uint64_t tid_before = server_->next_trace_id();
-  const size_t ordinal =
-      server_->SubmitRequest(msg->user, msg->exact, msg->service,
-                             std::move(msg->data));
-  if (ordinal == ts::ConcurrentServer::kShedSubmission) {
-    ReplyMsg reply;
-    reply.type = MsgType::kThrottled;
-    reply.request_id = msg->request_id;
-    reply.retry_after_ms = options_.retry_after_ms;
-    reply.reason = server_->last_submit_error().ToString();
-    QueueReply(session, frame.trace_id, reply);
-    return;
-  }
-  PendingReply pending;
-  pending.ordinal = ordinal;
-  pending.session = session.id;
-  pending.request_id = msg->request_id;
-  pending.trace_id =
-      server_->next_trace_id() != tid_before ? tid_before : frame.trace_id;
-  pending_.push_back(pending);
-}
-
-void RpcServer::HandleEvent(Session& session, const Frame& frame) {
-  common::Result<EventMsg> msg = DecodeEvent(frame.body);
-  if (!msg.ok()) {
-    ProtocolError(session, 0, msg.status().ToString());
-    return;
-  }
-  if (options_.granularities == nullptr) {
-    ProtocolError(session, msg->request_id,
-                  "server has no granularity registry for event frames");
-    return;
-  }
+void RpcServer::HandleClientEvent(Session& session, const Frame& frame) {
+  uint64_t request_id = 0;
   common::Result<ts::JournalEvent> event =
-      ts::DecodeJournalEvent(msg->journal_event, *options_.granularities);
+      DecodeClientEvent(static_cast<MsgType>(frame.type), frame.body,
+                        options_.granularities, &request_id);
   if (!event.ok()) {
-    ProtocolError(session, msg->request_id, event.status().ToString());
-    return;
-  }
-  const MsgType type = static_cast<MsgType>(frame.type);
-  bool admitted = false;
-  if (type == MsgType::kRegisterLbqid &&
-      event->kind == ts::JournalEvent::Kind::kRegisterLbqid &&
-      event->lbqid != nullptr) {
-    admitted = server_->SubmitRegisterLbqid(event->user, *event->lbqid);
-  } else if (type == MsgType::kSetRules &&
-             event->kind == ts::JournalEvent::Kind::kSetRules &&
-             event->rules != nullptr) {
-    admitted = server_->SubmitSetUserRules(event->user, *event->rules);
-  } else {
-    ProtocolError(session, msg->request_id,
-                  "journal-event body does not match the frame type");
+    ProtocolError(session, request_id, event.status().ToString());
     return;
   }
   ReplyMsg reply;
-  reply.request_id = msg->request_id;
-  if (admitted) {
-    reply.type = MsgType::kRegisterAck;
-    reply.code = 0;
-  } else {
+  reply.request_id = request_id;
+  reply.type = MsgType::kRegisterAck;
+  bool admitted = false;
+  switch (event->kind) {
+    case ts::JournalEvent::Kind::kUpdate:
+      admitted = server_->SubmitLocationUpdate(event->user, event->point);
+      // Fire-and-forget only on the happy path: a shed update is
+      // reported, never silently dropped.
+      if (admitted) return;
+      break;
+    case ts::JournalEvent::Kind::kRequest: {
+      // The trace id (if causal tracing is attached) is allocated by the
+      // front-end exactly when admission succeeds; observing the
+      // allocator advance recovers it without peeking at the server's
+      // options.
+      const uint64_t tid_before = server_->next_trace_id();
+      const size_t ordinal =
+          server_->SubmitRequest(event->user, event->point, event->service_id,
+                                 std::move(event->data));
+      if (ordinal == ts::ConcurrentServer::kShedSubmission) break;
+      PendingReply pending;
+      pending.ordinal = ordinal;
+      pending.session = session.id;
+      pending.request_id = request_id;
+      pending.trace_id =
+          server_->next_trace_id() != tid_before ? tid_before : frame.trace_id;
+      pending_.push_back(pending);
+      return;
+    }
+    case ts::JournalEvent::Kind::kRegisterUser:
+      admitted = server_->SubmitRegisterUser(event->user, event->policy);
+      break;
+    case ts::JournalEvent::Kind::kRegisterLbqid:
+      admitted = server_->SubmitRegisterLbqid(event->user, *event->lbqid);
+      break;
+    case ts::JournalEvent::Kind::kSetRules:
+      admitted = server_->SubmitSetUserRules(event->user, *event->rules);
+      break;
+    default:
+      break;  // DecodeClientEvent admits only the five client kinds.
+  }
+  if (!admitted) {
     reply.type = MsgType::kThrottled;
     reply.retry_after_ms = options_.retry_after_ms;
     reply.reason = server_->last_submit_error().ToString();

@@ -160,10 +160,10 @@ class RpcServer {
   void CloseSession(uint64_t id);
   Session* FindSession(uint64_t id);
 
-  void HandleRegister(Session& session, const Frame& frame);
-  void HandleUpdate(Session& session, const Frame& frame);
-  void HandleRequest(Session& session, const Frame& frame);
-  void HandleEvent(Session& session, const Frame& frame);
+  /// Decodes a client frame's journal event (DecodeClientEvent) and
+  /// submits it: register/LBQID/rules get an ack (or Throttled), an
+  /// update is answered only when shed, a request joins the open window.
+  void HandleClientEvent(Session& session, const Frame& frame);
 
   ts::ConcurrentServer* const server_;
   const RpcServerOptions options_;

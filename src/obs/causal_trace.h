@@ -3,8 +3,7 @@
 // queues, the worker's pipeline, journal appends — and every hop records a
 // CausalSpanRecord into one shared, thread-safe CausalTracer.  Linking the
 // records by (trace_id, parent_span) reconstructs the full causal chain
-// of a single request even when its hops ran on different threads, which
-// the single-threaded LIFO obs::Tracer cannot express.
+// of a single request even when its hops ran on different threads.
 //
 // Determinism: trace ids come from a seeded counter owned by the serving
 // layer and are consumed ONLY on successful admission, so journal replay

@@ -46,11 +46,10 @@ ConcurrentServer::ConcurrentServer(ConcurrentServerOptions options)
     // Global fan-out views for the anonymity layers' reads.
     shard_options.read_store = store_.get();
     shard_options.read_index = view_.get();
-    // Tracer and event sink are not thread-safe; the registry's handles
-    // are atomic and stay shared.  The causal tracer and SLO view are
+    // The event sink is not thread-safe; the registry's handles are
+    // atomic and stay shared.  The causal tracer and SLO view are
     // internally synchronized and stay shared too, each shard recording
     // on its own track.
-    shard_options.tracer = nullptr;
     shard_options.event_sink = nullptr;
     shard_options.trace_track = common::Format("shard_%zu", i);
     // Shard servers never allocate trace ids (the front-end does); their

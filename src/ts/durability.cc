@@ -22,6 +22,28 @@
 
 namespace histkanon {
 namespace ts {
+
+// The one exported primitive codec (durability.h): wire replies carry
+// generalized boxes in the same layout as journal outcomes and snapshots.
+void PutBox(dur::ByteWriter* writer, const geo::STBox& box) {
+  writer->PutDouble(box.area.min_x);
+  writer->PutDouble(box.area.min_y);
+  writer->PutDouble(box.area.max_x);
+  writer->PutDouble(box.area.max_y);
+  writer->PutI64(box.time.lo);
+  writer->PutI64(box.time.hi);
+}
+
+common::Status ReadBox(dur::ByteReader* reader, geo::STBox* box) {
+  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.min_x));
+  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.min_y));
+  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.max_x));
+  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.max_y));
+  HISTKANON_RETURN_NOT_OK(reader->ReadI64(&box->time.lo));
+  HISTKANON_RETURN_NOT_OK(reader->ReadI64(&box->time.hi));
+  return common::Status::OK();
+}
+
 namespace {
 
 constexpr std::string_view kSnapshotMagic = "HKSNAP01";
@@ -42,25 +64,6 @@ common::Status ReadPoint(dur::ByteReader* reader, geo::STPoint* point) {
   HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&point->p.x));
   HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&point->p.y));
   HISTKANON_RETURN_NOT_OK(reader->ReadI64(&point->t));
-  return common::Status::OK();
-}
-
-void PutBox(dur::ByteWriter* writer, const geo::STBox& box) {
-  writer->PutDouble(box.area.min_x);
-  writer->PutDouble(box.area.min_y);
-  writer->PutDouble(box.area.max_x);
-  writer->PutDouble(box.area.max_y);
-  writer->PutI64(box.time.lo);
-  writer->PutI64(box.time.hi);
-}
-
-common::Status ReadBox(dur::ByteReader* reader, geo::STBox* box) {
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.min_x));
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.min_y));
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.max_x));
-  HISTKANON_RETURN_NOT_OK(reader->ReadDouble(&box->area.max_y));
-  HISTKANON_RETURN_NOT_OK(reader->ReadI64(&box->time.lo));
-  HISTKANON_RETURN_NOT_OK(reader->ReadI64(&box->time.hi));
   return common::Status::OK();
 }
 

@@ -33,7 +33,9 @@
 
 #include "src/common/result.h"
 #include "src/common/status.h"
+#include "src/dur/encode.h"
 #include "src/dur/sink.h"
+#include "src/geo/stbox.h"
 #include "src/tgran/granularity.h"
 #include "src/ts/concurrent_server.h"
 #include "src/ts/trusted_server.h"
@@ -86,6 +88,12 @@ struct JournalEvent {
   /// kBatch payload.
   std::shared_ptr<const std::vector<BatchRequest>> batch;
 };
+
+/// The spatio-temporal box layout shared by every record format that
+/// carries one (journal outcomes, snapshots, wire reply frames):
+/// min_x | min_y | max_x | max_y as f64, then time.lo | time.hi as i64.
+void PutBox(dur::ByteWriter* writer, const geo::STBox& box);
+common::Status ReadBox(dur::ByteReader* reader, geo::STBox* box);
 
 /// Serializes an event into a record payload (kJournalEventRecord-tagged).
 std::string EncodeJournalEvent(const JournalEvent& event);

@@ -31,14 +31,13 @@ stindex::GridIndexOptions IndexOptions(const TrustedServerOptions& options) {
   return index;
 }
 
-// RAII per-stage instrumentation: opens a trace span (plus a causal child
-// span when the request carries a trace context) and accumulates the
-// stage's wall time into the request telemetry.  Does nothing — not even
-// a clock read — when telemetry is disabled and no causal tracer rides
-// along.
+// RAII per-stage instrumentation: opens a causal child span when the
+// request carries a trace context, and accumulates the stage's wall time
+// into the request telemetry.  Does nothing — not even a clock read —
+// when telemetry is disabled and no causal tracer rides along.
 class StageScope {
  public:
-  StageScope(RequestTelemetry* telemetry, Stage stage, obs::Tracer* tracer)
+  StageScope(RequestTelemetry* telemetry, Stage stage)
       : telemetry_(telemetry), stage_(static_cast<size_t>(stage)) {
     if (telemetry_->causal != nullptr) {
       causal_ = telemetry_->causal->StartSpan(
@@ -46,7 +45,6 @@ class StageScope {
           *telemetry_->track);
     }
     if (!telemetry_->enabled) return;
-    span_ = obs::StartSpan(tracer, std::string(StageToString(stage)));
     start_ns_ = obs::MonotonicNanos();
   }
 
@@ -56,7 +54,6 @@ class StageScope {
   ~StageScope() {
     causal_.End();
     if (!telemetry_->enabled) return;
-    span_.End();
     telemetry_->ran[stage_] = true;
     telemetry_->seconds[stage_] +=
         static_cast<double>(obs::MonotonicNanos() - start_ns_) * 1e-9;
@@ -65,7 +62,6 @@ class StageScope {
  private:
   RequestTelemetry* telemetry_;
   size_t stage_;
-  obs::Span span_;
   obs::CausalSpan causal_;
   int64_t start_ns_ = 0;
 };
@@ -144,8 +140,8 @@ TrustedServer::TrustedServer(TrustedServerOptions options)
   if (options_.slo != nullptr) {
     breaker_.AttachSloView(options_.slo, options_.trace_track);
   }
-  obs_.enabled = options_.registry != nullptr || options_.tracer != nullptr ||
-                 options_.event_sink != nullptr;
+  obs_.enabled =
+      options_.registry != nullptr || options_.event_sink != nullptr;
   if (options_.registry != nullptr) {
     obs::Registry& registry = *options_.registry;
     obs_.requests = registry.GetCounter("ts_requests_total");
@@ -548,8 +544,6 @@ ProcessOutcome TrustedServer::ProcessAdmitted(mod::UserId user,
     TrimOutcomes();
     return outcome;
   }
-  obs::Span root = obs::StartSpan(
-      telemetry.enabled ? options_.tracer : nullptr, "process_request");
   obs::CausalSpan causal_root;
   if (traced) {
     causal_root = options_.causal->StartSpan(request_parent, "request",
@@ -580,13 +574,6 @@ ProcessOutcome TrustedServer::ProcessAdmitted(mod::UserId user,
     causal_root.End();
   }
   if (!telemetry.enabled) return outcome;
-  if (root.active()) {
-    root.AddAttribute("user",
-                      common::Format("%lld", static_cast<long long>(user)));
-    root.AddAttribute("disposition",
-                      std::string(DispositionToString(outcome.disposition)));
-  }
-  root.End();
   RecordRequest(outcome, telemetry, user, service, total_seconds);
   return outcome;
 }
@@ -791,7 +778,7 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
   std::vector<lbqid::LbqidMatcher::Snapshot> monitor_snapshot;
   std::vector<lbqid::Observation> observations;
   {
-    StageScope stage(telemetry, Stage::kLbqidMatch, options_.tracer);
+    StageScope stage(telemetry, Stage::kLbqidMatch);
     monitor_snapshot = monitor_.SaveUser(user);
     observations = monitor_.ProcessPoint(user, exact);
   }
@@ -842,11 +829,11 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
                              : policy.default_context_scale;
     geo::STBox context = generalizer_->DefaultContext(exact, tolerance, scale);
     if (options_.enable_randomization) {
-      StageScope stage(telemetry, Stage::kRandomize, options_.tracer);
+      StageScope stage(telemetry, Stage::kRandomize);
       context = RandomizeTranslate(context, exact, user, ordinal);
     }
     {
-      StageScope stage(telemetry, Stage::kForward, options_.tracer);
+      StageScope stage(telemetry, Stage::kForward);
       Forward(&outcome, user, exact, service, data, context);
     }
     ++stats_.forwarded_default;
@@ -868,7 +855,7 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
   geo::STBox union_box = geo::STBox::Empty();
   bool all_ok = true;
   {
-    StageScope stage(telemetry, Stage::kGeneralize, options_.tracer);
+    StageScope stage(telemetry, Stage::kGeneralize);
     for (const lbqid::Observation& observed : observations) {
       TraceState& trace = state.traces[observed.lbqid_index];
       // Anchor schedule (Section 6.2's k' heuristic), per trace.
@@ -897,7 +884,7 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
   {
     // HkA verdict on the combined context: individually-fitting boxes can
     // still union past the tolerance.
-    StageScope stage(telemetry, Stage::kHkaEval, options_.tracer);
+    StageScope stage(telemetry, Stage::kHkaEval);
     if (all_ok && !tolerance.Satisfies(union_box)) all_ok = false;
   }
 
@@ -910,7 +897,7 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
     if (options_.enable_randomization) {
       // Expansion (never translation): a superset keeps every anchor's
       // sample inside, preserving LT-consistency of the traces.
-      StageScope stage(telemetry, Stage::kRandomize, options_.tracer);
+      StageScope stage(telemetry, Stage::kRandomize);
       context = RandomizeExpand(context, tolerance, user, ordinal);
     }
     for (PendingUpdate& update : updates) {
@@ -921,7 +908,7 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
     outcome.disposition = Disposition::kForwardedGeneralized;
     outcome.hk_anonymity = true;
     {
-      StageScope stage(telemetry, Stage::kForward, options_.tracer);
+      StageScope stage(telemetry, Stage::kForward);
       Forward(&outcome, user, exact, service, data, context);
     }
     ++stats_.forwarded_generalized;
@@ -935,7 +922,7 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
   // Step 2: generalization failed -> try to unlink.
   outcome.hk_anonymity = false;
   if (options_.enable_unlinking) {
-    StageScope stage(telemetry, Stage::kUnlink, options_.tracer);
+    StageScope stage(telemetry, Stage::kUnlink);
     ++stats_.unlink_attempts;
     anon::MixZoneOptions mixzone = options_.mixzone;
     mixzone.min_diverging_users = std::max(mixzone.min_diverging_users, k);
@@ -973,7 +960,7 @@ ProcessOutcome TrustedServer::ProcessRequestImpl(mod::UserId user,
       update.trace->contexts.push_back(clipped);
       update.trace->tainted = true;
     }
-    StageScope stage(telemetry, Stage::kForward, options_.tracer);
+    StageScope stage(telemetry, Stage::kForward);
     Forward(&outcome, user, exact, service, data, clipped);
   } else {
     // Dropped: the SP never sees this request, so the automata must not

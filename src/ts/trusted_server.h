@@ -36,7 +36,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/resource.h"
 #include "src/obs/slo.h"
-#include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 #include "src/stindex/grid_index.h"
 #include "src/stindex/tiered_view.h"
@@ -133,7 +132,6 @@ struct TrustedServerOptions {
   /// clock reads, behavior bit-identical to an uninstrumented server.
   /// The registry is shared with the index, generalizer, and monitor.
   obs::Registry* registry = nullptr;
-  obs::Tracer* tracer = nullptr;
   obs::EventSink* event_sink = nullptr;
   /// Request-scoped causal tracing (optional, not owned).  Trace ids come
   /// from a deterministic counter seeded with `trace_id_seed` and are

@@ -197,6 +197,8 @@ TEST(NetFramingFuzz, MutatedBodiesDecodeToValueOrTypedError) {
   request.service = 1;
   request.data = "poi query";
   const std::string seed = EncodeRequest(request);
+  const tgran::GranularityRegistry granularities =
+      tgran::GranularityRegistry::WithDefaults();
   common::Rng rng(4242);
   for (size_t iter = 0; iter < Iterations(); ++iter) {
     std::string body = seed;
@@ -207,11 +209,15 @@ TEST(NetFramingFuzz, MutatedBodiesDecodeToValueOrTypedError) {
       body.resize(static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(body.size()))));
     }
-    // Either outcome is fine; crashing or over-reading is not.
-    (void)DecodeRequest(body).ok();
-    (void)DecodeRegister(body).ok();
-    (void)DecodeUpdate(body).ok();
-    (void)DecodeEvent(body).ok();
+    // Either outcome is fine; crashing or over-reading is not.  Every
+    // client frame type goes through the server's one decode entry.
+    for (const MsgType type :
+         {MsgType::kRegister, MsgType::kUpdate, MsgType::kRequest,
+          MsgType::kRegisterLbqid, MsgType::kSetRules}) {
+      uint64_t request_id = 0;
+      (void)DecodeClientEvent(type, body, &granularities, &request_id).ok();
+      (void)DecodeClientEvent(type, body, nullptr, &request_id).ok();
+    }
     (void)DecodeReply(MsgType::kResponseBox, body).ok();
     (void)DecodeReply(MsgType::kThrottled, body).ok();
   }

@@ -1,14 +1,18 @@
-// Unit coverage for the HKNETRP1 wire layer: frame append/decode round
-// trips under arbitrary chunking, sticky desync on corruption, body codec
-// round trips for every message type, and the outcome->reply mapping.
+// Unit coverage for the HKNETRP2 wire layer: frame append/decode round
+// trips under arbitrary chunking, sticky desync on corruption, client
+// bodies that carry exactly the journal record Submit* writes, reply
+// codec round trips for every type, and the outcome->reply mapping.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "src/dur/framing.h"
 #include "src/net/framing.h"
 #include "src/net/protocol.h"
+#include "src/ts/concurrent_server.h"
+#include "src/ts/durability.h"
 
 namespace histkanon {
 namespace net {
@@ -73,6 +77,14 @@ TEST(NetFraming, BadMagicIsStickyError) {
   decoder.Reset();
   decoder.Feed(OneFrame(1, 0, "x"));
   EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Poll::kFrame);
+  // An HKNETRP1 stream (the previous revision, whose client bodies have
+  // other layouts) is refused at the magic, before any frame.
+  std::string old_stream = "HKNETRP1";
+  AppendFrame(&old_stream, 1, 0, "x");
+  decoder.Reset();
+  decoder.Feed(old_stream);
+  EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Poll::kError);
+  EXPECT_EQ(decoder.frames_decoded(), 0u);
 }
 
 TEST(NetFraming, BitRotFailsTheCrc) {
@@ -129,15 +141,46 @@ TEST(NetFraming, TruncatedFrameNeedsMore) {
   }
 }
 
+// The body after its u64 request_id: the journal event record.
+std::string_view EventRecord(std::string_view body) {
+  return body.substr(sizeof(uint64_t));
+}
+
+// True when the journal's last framed record is exactly `record`: the
+// wire body carries the bytes Submit* journaled, not a re-encoding.
+bool JournalEndsWith(const ts::TsJournal& journal, std::string_view record) {
+  std::string framed;
+  dur::AppendRecord(&framed, record);
+  return journal.bytes().size() >= framed.size() &&
+         journal.bytes().compare(journal.bytes().size() - framed.size(),
+                                 framed.size(), framed) == 0;
+}
+
+ts::ConcurrentServerOptions JournaledServer(ts::TsJournal* journal) {
+  ts::ConcurrentServerOptions options;
+  options.num_shards = 1;
+  options.journal = journal;
+  return options;
+}
+
 TEST(NetProtocol, RegisterRoundTrip) {
   RegisterMsg msg;
   msg.request_id = 77;
   msg.user = 123456789;
   msg.policy = ts::PrivacyPolicy::FromConcern(ts::PrivacyConcern::kHigh);
   const std::string body = EncodeRegister(msg);
-  common::Result<RegisterMsg> back = DecodeRegister(body);
+
+  ts::TsJournal journal;
+  ts::ConcurrentServer server(JournaledServer(&journal));
+  ASSERT_TRUE(server.SubmitRegisterUser(msg.user, msg.policy));
+  EXPECT_TRUE(JournalEndsWith(journal, EventRecord(body)));
+
+  uint64_t request_id = 0;
+  common::Result<ts::JournalEvent> back =
+      DecodeClientEvent(MsgType::kRegister, body, nullptr, &request_id);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->request_id, msg.request_id);
+  EXPECT_EQ(request_id, msg.request_id);
+  EXPECT_EQ(back->kind, ts::JournalEvent::Kind::kRegisterUser);
   EXPECT_EQ(back->user, msg.user);
   EXPECT_EQ(back->policy.concern, msg.policy.concern);
   EXPECT_EQ(back->policy.k, msg.policy.k);
@@ -151,15 +194,24 @@ TEST(NetProtocol, RegisterRoundTrip) {
 }
 
 TEST(NetProtocol, UpdateAndRequestRoundTrip) {
+  ts::TsJournal journal;
+  ts::ConcurrentServer server(JournaledServer(&journal));
+
   UpdateMsg update;
   update.request_id = 5;
   update.user = 9;
   update.sample = geo::STPoint{{12.5, -3.25}, 3600};
-  common::Result<UpdateMsg> u = DecodeUpdate(EncodeUpdate(update));
+  const std::string update_body = EncodeUpdate(update);
+  ASSERT_TRUE(server.SubmitLocationUpdate(update.user, update.sample));
+  EXPECT_TRUE(JournalEndsWith(journal, EventRecord(update_body)));
+  uint64_t request_id = 0;
+  common::Result<ts::JournalEvent> u =
+      DecodeClientEvent(MsgType::kUpdate, update_body, nullptr, &request_id);
   ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u->request_id, 5u);
+  EXPECT_EQ(request_id, 5u);
+  EXPECT_EQ(u->kind, ts::JournalEvent::Kind::kUpdate);
   EXPECT_EQ(u->user, 9);
-  EXPECT_EQ(u->sample, update.sample);
+  EXPECT_EQ(u->point, update.sample);
 
   RequestMsg request;
   request.request_id = 6;
@@ -167,13 +219,28 @@ TEST(NetProtocol, UpdateAndRequestRoundTrip) {
   request.exact = geo::STPoint{{1.0, 2.0}, 30};
   request.service = 3;
   request.data = "nearest hospital";
-  common::Result<RequestMsg> r = DecodeRequest(EncodeRequest(request));
+  const std::string request_body = EncodeRequest(request);
+  ASSERT_NE(server.SubmitRequest(request.user, request.exact,
+                                 request.service, request.data),
+            ts::ConcurrentServer::kShedSubmission);
+  EXPECT_TRUE(JournalEndsWith(journal, EventRecord(request_body)));
+  common::Result<ts::JournalEvent> r = DecodeClientEvent(
+      MsgType::kRequest, request_body, nullptr, &request_id);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->request_id, 6u);
+  EXPECT_EQ(request_id, 6u);
+  EXPECT_EQ(r->kind, ts::JournalEvent::Kind::kRequest);
   EXPECT_EQ(r->user, 10);
-  EXPECT_EQ(r->exact, request.exact);
-  EXPECT_EQ(r->service, 3);
+  EXPECT_EQ(r->point, request.exact);
+  EXPECT_EQ(r->service_id, 3);
   EXPECT_EQ(r->data, "nearest hospital");
+
+  // A body is accepted only under the frame type of its event kind.
+  EXPECT_FALSE(
+      DecodeClientEvent(MsgType::kUpdate, request_body, nullptr, &request_id)
+          .ok());
+  EXPECT_FALSE(DecodeClientEvent(MsgType::kEndEpoch, request_body, nullptr,
+                                 &request_id)
+                   .ok());
 }
 
 TEST(NetProtocol, TruncatedBodiesFailTyped) {
@@ -182,13 +249,16 @@ TEST(NetProtocol, TruncatedBodiesFailTyped) {
   request.user = 2;
   request.data = "abc";
   const std::string body = EncodeRequest(request);
+  uint64_t request_id = 0;
   for (size_t cut = 0; cut < body.size(); ++cut) {
-    common::Result<RequestMsg> r =
-        DecodeRequest(std::string_view(body).substr(0, cut));
+    common::Result<ts::JournalEvent> r = DecodeClientEvent(
+        MsgType::kRequest, std::string_view(body).substr(0, cut), nullptr,
+        &request_id);
     EXPECT_FALSE(r.ok()) << "cut at " << cut;
   }
   // Trailing garbage is rejected too (no silent over-read).
-  common::Result<RequestMsg> r = DecodeRequest(body + "Z");
+  common::Result<ts::JournalEvent> r = DecodeClientEvent(
+      MsgType::kRequest, body + "Z", nullptr, &request_id);
   EXPECT_FALSE(r.ok());
 }
 

@@ -2,13 +2,16 @@
 // socket: ephemeral-port bind, register/update/request round trips,
 // batch-window flush by count and by timeout, breaker sheds surfaced as
 // Throttled (never silent), hostile bytes answered with a final Error
-// frame, stalled-client disconnect, and the net_* metrics.
+// frame, client frames refused unless they carry a client event of their
+// own frame type, stalled-client disconnect, and the net_* metrics.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -249,6 +252,94 @@ TEST(NetServer, MalformedBodyGetsErrorAndCloses) {
   ASSERT_TRUE(reply2.ok());
   EXPECT_EQ(reply2->msg.type, MsgType::kError);
   server.Stop();
+}
+
+// The wire is a trust boundary: DecodeJournalEvent knows every journal
+// kind, but a client may send only the five client kinds, each under its
+// own frame type.  Each refused frame gets exactly one Error frame, the
+// session closes, and nothing reaches the front-end journal.
+TEST(NetServer, RefusesServerSideEventsMismatchedKindsAndTrailingBytes) {
+  ts::TsJournal journal;
+  ts::ConcurrentServerOptions cs_options = SmallServer();
+  cs_options.journal = &journal;
+  ts::ConcurrentServer cs(cs_options);
+  ASSERT_TRUE(cs.RegisterService(TestService()).ok());
+  const tgran::GranularityRegistry granularities =
+      tgran::GranularityRegistry::WithDefaults();
+  RpcServerOptions options;
+  options.granularities = &granularities;
+  RpcServer server(&cs, options);
+  ASSERT_TRUE(server.Start().ok());
+  const size_t events_before = journal.event_count();
+
+  auto event_body = [](const ts::JournalEvent& event) {
+    return EncodeEvent(EventMsg{7, ts::EncodeJournalEvent(event)});
+  };
+  ts::JournalEvent service;
+  service.kind = ts::JournalEvent::Kind::kRegisterService;
+  service.service = TestService();
+  ts::JournalEvent epoch_end;
+  epoch_end.kind = ts::JournalEvent::Kind::kEpochEnd;
+  ts::JournalEvent batch;
+  batch.kind = ts::JournalEvent::Kind::kBatch;
+  ts::BatchRequest batched;
+  batched.user = 3;
+  batched.exact = geo::STPoint{{5, 5}, 30};
+  batched.service = 1;
+  batch.batch = std::make_shared<const std::vector<ts::BatchRequest>>(
+      std::vector<ts::BatchRequest>{batched});
+  ts::JournalEvent request;
+  request.kind = ts::JournalEvent::Kind::kRequest;
+  request.user = 3;
+  request.point = geo::STPoint{{5, 5}, 30};
+  request.service_id = 1;
+  request.data = "q";
+
+  struct Hostile {
+    MsgType type;
+    std::string body;
+  };
+  std::vector<Hostile> frames;
+  // Server-side kinds under every client frame type.
+  for (const MsgType type :
+       {MsgType::kRegister, MsgType::kUpdate, MsgType::kRequest,
+        MsgType::kRegisterLbqid, MsgType::kSetRules}) {
+    for (const ts::JournalEvent* event : {&service, &epoch_end, &batch}) {
+      frames.push_back({type, event_body(*event)});
+    }
+  }
+  // A client kind under another client kind's frame type.
+  frames.push_back({MsgType::kUpdate, event_body(request)});
+  frames.push_back({MsgType::kRegister, event_body(request)});
+  // A well-formed request body with one trailing byte.
+  frames.push_back({MsgType::kRequest, event_body(request) + "Z"});
+
+  for (size_t i = 0; i < frames.size(); ++i) {
+    RpcClient client;
+    ASSERT_TRUE(client.Connect(server.port()).ok());
+    // A receive timeout turns a session left open into a failure below
+    // instead of a hang.
+    const timeval timeout{2, 0};
+    ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    std::string wire;
+    AppendFrame(&wire, static_cast<uint8_t>(frames[i].type), 0,
+                frames[i].body);
+    ASSERT_EQ(::send(client.fd(), wire.data(), wire.size(), 0),
+              static_cast<ssize_t>(wire.size()));
+    auto reply = client.WaitAnyReply();
+    ASSERT_TRUE(reply.ok()) << "frame " << i;
+    EXPECT_EQ(reply->msg.type, MsgType::kError) << "frame " << i;
+    // Exactly one Error frame, then the server closes the session (a
+    // timed-out read leaves the client connected).
+    EXPECT_FALSE(client.WaitAnyReply().ok()) << "frame " << i;
+    EXPECT_FALSE(client.connected()) << "frame " << i;
+    EXPECT_EQ(journal.event_count(), events_before) << "frame " << i;
+  }
+  EXPECT_EQ(server.protocol_errors(), frames.size());
+  server.Stop();
+  EXPECT_EQ(journal.event_count(), events_before);
 }
 
 TEST(NetServer, MetricsCountTraffic) {

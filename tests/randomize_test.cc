@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
+
 namespace histkanon {
 namespace anon {
 namespace {
@@ -90,6 +92,43 @@ TEST(ExpandWithinTest, AtToleranceStaysPut) {
   EXPECT_DOUBLE_EQ(out.area.Width(), 2000.0);
   EXPECT_EQ(out.time.Length(), 1200);
   EXPECT_TRUE(out.Contains(box));
+}
+
+TEST(ExpandWithinTest, ClippedGrowthFitsToleranceExactly) {
+  // The scaled margins land this box at [3369.870, 7369.870], where the
+  // unadjusted sides round to a width 4.5e-13 m over the hospital
+  // service's 4,000 m tolerance.
+  const STBox box{Rect{4112.2497894222834, 100, 6686.4957894222835, 600},
+                  TimeInterval{0, 600}};
+  const ToleranceConstraints hospital{4000.0, 4000.0, 3600};
+  common::Rng rng(1);
+  const STBox out = ExpandWithin(&rng, box, hospital, RandomizerOptions{});
+  EXPECT_NEAR(out.area.min_x, 3369.870, 1e-3);
+  EXPECT_NEAR(out.area.max_x, 7369.870, 1e-3);
+  EXPECT_LE(out.area.Width(), 4000.0);
+  EXPECT_TRUE(hospital.Satisfies(out));
+  EXPECT_TRUE(out.Contains(box));
+}
+
+TEST(ExpandWithinTest, EveryExpandedBoxSatisfiesTolerance) {
+  const ToleranceConstraints tolerance{4000.0, 3000.0, 3600};
+  common::Rng boxes(99);
+  for (uint64_t i = 0; i < 20000; ++i) {
+    const double width = boxes.Uniform(100.0, 3990.0);
+    const double height = boxes.Uniform(100.0, 2990.0);
+    const double x = boxes.Uniform(-10000.0, 10000.0);
+    const double y = boxes.Uniform(-10000.0, 10000.0);
+    const int64_t t = boxes.UniformInt(0, 86400);
+    const int64_t window = boxes.UniformInt(0, 3000);
+    const STBox box{Rect{x, y, x + width, y + height},
+                    TimeInterval{t, t + window}};
+    common::Rng rng(i);
+    const STBox out = ExpandWithin(&rng, box, tolerance, RandomizerOptions{});
+    ASSERT_TRUE(tolerance.Satisfies(out))
+        << "box " << i << " width " << out.area.Width() << " height "
+        << out.area.Height();
+    ASSERT_TRUE(out.Contains(box)) << "box " << i;
+  }
 }
 
 TEST(ExpandWithinTest, DeterministicPerSeed) {

@@ -1,6 +1,6 @@
 // The telemetry plane's null-object contract, run in the ON direction:
 // attaching the full observability stack (causal tracer, SLO view,
-// metrics registry, stage tracer, event sink) must not move a single
+// metrics registry, event sink) must not move a single
 // answer.  Serial, batched, and sharded runs with telemetry ON produce
 // outcomes and Checkpoint() bytes identical to untraced runs of the
 // same workload.
@@ -14,7 +14,6 @@
 #include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
-#include "src/obs/trace.h"
 #include "src/ts/concurrent_server.h"
 #include "src/ts/trusted_server.h"
 #include "src/ts/workload.h"
@@ -27,14 +26,12 @@ namespace {
 /// value keeps every pointer in TrustedServerOptions alive.
 struct TelemetryStack {
   obs::Registry registry;
-  obs::Tracer tracer;
   obs::VectorEventSink events;
   obs::CausalTracer causal;
   obs::SloView slo;
 
   void AttachAll(TrustedServerOptions* options) {
     options->registry = &registry;
-    options->tracer = &tracer;
     options->event_sink = &events;
     options->causal = &causal;
     options->slo = &slo;

@@ -1,9 +1,11 @@
 // Integration tests of the observability wiring on the trusted server:
-// per-stage latency histograms, disposition counters vs TsStats, trace
+// per-stage latency histograms, disposition counters vs TsStats, causal
 // span trees, the structured event log, and the null-object contract
 // (identical behavior with no registry attached).
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,7 +14,7 @@
 #include "src/obs/event_log.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/causal_trace.h"
 #include "src/ts/trusted_server.h"
 
 namespace histkanon {
@@ -106,15 +108,15 @@ uint64_t CounterValue(const obs::Registry& registry,
   return 0;
 }
 
-// Runs every disposition through servers sharing one registry / tracer /
-// event sink: generalized + default (server A), unlinked + suppressed
+// Runs every disposition through servers sharing one registry / causal
+// tracer / event sink: generalized + default (server A), unlinked + suppressed
 // (server B), at-risk (server C).  Returns the total request count.
-size_t RunMixedScenario(obs::Registry* registry, obs::Tracer* tracer,
+size_t RunMixedScenario(obs::Registry* registry, obs::CausalTracer* causal,
                         obs::EventSink* sink) {
   size_t requests = 0;
   TrustedServerOptions options;
   options.registry = registry;
-  options.tracer = tracer;
+  options.causal = causal;
   options.event_sink = sink;
 
   {
@@ -142,7 +144,10 @@ size_t RunMixedScenario(obs::Registry* registry, obs::Tracer* tracer,
   }
 
   {
+    // Distinct trace-id ranges keep the three servers' traces apart in
+    // the one shared causal tracer.
     TrustedServerOptions unlink_options = options;
+    unlink_options.trace_id_seed = 1000;
     unlink_options.mixzone.min_displacement = 5.0;
     TrustedServer server(unlink_options);
     PrivacyPolicy policy =
@@ -165,6 +170,7 @@ size_t RunMixedScenario(obs::Registry* registry, obs::Tracer* tracer,
 
   {
     TrustedServerOptions at_risk_options = options;
+    at_risk_options.trace_id_seed = 2000;
     at_risk_options.enable_unlinking = false;
     TrustedServer server(at_risk_options);
     EXPECT_TRUE(server
@@ -233,38 +239,52 @@ TEST(TsObsTest, StageHistogramsCoverTheServingPath) {
 
 TEST(TsObsTest, TracerBuildsOneSpanTreePerRequest) {
   obs::Registry registry;
-  obs::Tracer tracer;
-  RunMixedScenario(&registry, &tracer, nullptr);
+  obs::CausalTracer causal;
+  RunMixedScenario(&registry, &causal, nullptr);
+  const std::vector<obs::CausalSpanRecord> records = causal.Records();
 
-  size_t roots = 0;
+  // One "request" span per admitted request, each in its own trace.
+  std::map<uint64_t, const obs::CausalSpanRecord*> request_of_trace;
+  for (const obs::CausalSpanRecord& record : records) {
+    if (record.name != "request") continue;
+    EXPECT_EQ(request_of_trace.count(record.trace_id), 0u)
+        << "trace " << record.trace_id;
+    request_of_trace[record.trace_id] = &record;
+  }
+  EXPECT_EQ(request_of_trace.size(),
+            CounterValue(registry, "ts_requests_total"));
+
+  // Every stage span hangs off its trace's request span.
+  std::vector<std::string> stage_names;
+  for (size_t s = 0; s < kStageCount; ++s) {
+    stage_names.emplace_back(StageToString(static_cast<Stage>(s)));
+  }
   size_t stage_children = 0;
-  for (const obs::SpanRecord& record : tracer.spans()) {
-    EXPECT_GE(record.duration_ns, 0) << record.name;  // All spans closed.
-    if (record.name == "process_request") {
-      EXPECT_EQ(record.parent, -1);
-      ++roots;
+  for (const obs::CausalSpanRecord& record : records) {
+    if (std::find(stage_names.begin(), stage_names.end(), record.name) ==
+        stage_names.end()) {
       continue;
     }
-    // Every stage span hangs off a process_request root.
-    ASSERT_GE(record.parent, 0) << record.name;
-    EXPECT_EQ(tracer.spans()[static_cast<size_t>(record.parent)].name,
-              "process_request")
-        << record.name;
+    const auto it = request_of_trace.find(record.trace_id);
+    ASSERT_NE(it, request_of_trace.end()) << record.name;
+    EXPECT_EQ(record.parent_span, it->second->span_id) << record.name;
     ++stage_children;
   }
-  EXPECT_EQ(roots, CounterValue(registry, "ts_requests_total"));
-  EXPECT_GT(stage_children, roots);  // At least one stage per request.
-  EXPECT_EQ(tracer.open_spans(), 0u);
+  // At least one stage per request.
+  EXPECT_GT(stage_children, request_of_trace.size());
 
-  // Root spans carry the user and final disposition as attributes.
-  bool saw_disposition = false;
-  for (const obs::SpanRecord& record : tracer.spans()) {
-    if (record.name != "process_request") continue;
-    for (const auto& [key, value] : record.attributes) {
-      if (key == "disposition" && value == "unlinked") saw_disposition = true;
+  // The request span carries the final disposition as an attribute.
+  bool saw_unlinked = false;
+  for (const auto& [trace_id, request] : request_of_trace) {
+    bool has_disposition = false;
+    for (const auto& [key, value] : request->attributes) {
+      if (key != "disposition") continue;
+      has_disposition = true;
+      if (value == "unlinked") saw_unlinked = true;
     }
+    EXPECT_TRUE(has_disposition) << "trace " << trace_id;
   }
-  EXPECT_TRUE(saw_disposition);
+  EXPECT_TRUE(saw_unlinked);
 }
 
 TEST(TsObsTest, EventLogEmitsOneParsableRecordPerRequest) {
@@ -304,12 +324,12 @@ TEST(TsObsTest, NoRegistryBehaviorIsIdentical) {
   // contexts, pseudonyms, and stats.
   auto run = [](bool instrumented, std::vector<std::string>* trace) {
     obs::Registry registry;
-    obs::Tracer tracer;
+    obs::CausalTracer causal;
     obs::VectorEventSink sink;
     TrustedServerOptions options;
     if (instrumented) {
       options.registry = &registry;
-      options.tracer = &tracer;
+      options.causal = &causal;
       options.event_sink = &sink;
     }
     TrustedServer server(options);
